@@ -41,7 +41,10 @@ import (
 //	3 — LOC violations gained witness provenance (bindings, worst, time
 //	    density, window peaks): cached results carry the new shape and
 //	    per-formula loc_* metrics, so pre-witness entries must miss.
-const runKeySchema = 3
+//	4 — the event queue became a 4-ary heap: cached snapshots carry
+//	    sim_heap_swaps counted on the old binary heap, which a fresh run
+//	    no longer reproduces, so those entries must miss.
+const runKeySchema = 4
 
 // CachedRun is the unit the run cache stores: the full result plus the
 // run's own metrics snapshot, so a cache hit can replay its metrics into

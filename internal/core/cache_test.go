@@ -155,7 +155,9 @@ func TestRunKeyPolicyCanonicalization(t *testing.T) {
 
 // TestRunKeySchemaStamp pins the schema version into the key material: the
 // witness work bumped it to 3 so every pre-witness cache entry misses
-// rather than replaying a result without provenance or loc_* metrics.
+// rather than replaying a result without provenance or loc_* metrics, and
+// the 4-ary event heap bumped it to 4 so no entry replays a sim_heap_swaps
+// count from the binary heap.
 func TestRunKeySchemaStamp(t *testing.T) {
 	b, err := RunKeyMaterial(cacheTestConfig(t))
 	if err != nil {
@@ -170,8 +172,8 @@ func TestRunKeySchemaStamp(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Schema != 3 {
-		t.Errorf("key material schema = %d, want 3 (bump TestRunKeySchemaStamp alongside any deliberate schema change)", m.Schema)
+	if m.Schema != 4 {
+		t.Errorf("key material schema = %d, want 4 (bump TestRunKeySchemaStamp alongside any deliberate schema change)", m.Schema)
 	}
 }
 

@@ -85,7 +85,8 @@ func (q *Queue) Checkpoint(path string) error {
 // inserted, so a truncated or corrupted file fails cleanly with a
 // CorruptCheckpointError (errors.Is ErrCheckpointCorrupt) and leaves the
 // queue exactly as it was — never half-loaded. Jobs whose key duplicates
-// one already queued are skipped. Returns the number of jobs restored. A
+// one already queued, and jobs whose ID the queue already holds under the
+// same key (whatever their state), are skipped. Returns the number of jobs restored. A
 // missing file restores nothing and is not an error — a fresh daemon has no
 // checkpoint.
 func (q *Queue) Restore(path string) (int, error) {
@@ -127,9 +128,15 @@ func (q *Queue) Restore(path string) (int, error) {
 			continue
 		}
 		var j *job
-		if _, taken := q.byID[pj.ID]; taken {
-			// An ID collision with a live job: mint a fresh ID rather than
-			// corrupt the index.
+		if known, taken := q.byID[pj.ID]; taken {
+			if known.key == keys[i] {
+				// The queue already knows this job, in whatever state
+				// (queued, running or finished): restoring it again is a
+				// no-op, so repeated restores stay idempotent.
+				continue
+			}
+			// A real ID collision (same ID, different work): mint a fresh
+			// ID rather than corrupt the index.
 			j = q.insertLocked("", keys[i], pj.Spec)
 		} else {
 			j = q.insertLocked(pj.ID, keys[i], pj.Spec)

@@ -54,7 +54,7 @@ type Chip struct {
 	// tfifoUsed counts occupied TFIFO slots per egress port; waiters queue
 	// contexts blocked on a full TFIFO.
 	tfifoUsed []int
-	waiters   [][]func()
+	waiters   [][]sendWaiter
 
 	// trace
 	sink           trace.Sink
@@ -161,7 +161,7 @@ func New(cfg Config, k *sim.Kernel, programs []*isa.Program, sink trace.Sink) (*
 		scratch:   make(map[int64]int64),
 		portFree:  make([]sim.Time, cfg.Ports),
 		tfifoUsed: make([]int, cfg.Ports),
-		waiters:   make([][]func(), cfg.Ports),
+		waiters:   make([][]sendWaiter, cfg.Ports),
 		sink:      sink,
 	}
 	sramPipe := sim.Time(cfg.SramPipeNs * float64(sim.Nanosecond))
@@ -333,18 +333,25 @@ func (c *Chip) sendPacket(handle int64, me int, granted func()) {
 	if handle < 0 || handle >= int64(len(c.pkts)) {
 		panic(fmt.Sprintf("npu: me%d: send of invalid handle %d", me, handle))
 	}
-	d := &c.pkts[handle]
-	port := d.egress
-	attempt := func() {
-		c.tfifoUsed[port]++
-		c.startTransmit(handle, port)
-		granted()
-	}
+	port := c.pkts[handle].egress
 	if c.tfifoUsed[port] < c.cfg.TFIFODepth {
-		attempt()
+		c.grantSend(handle, port, granted)
 		return
 	}
-	c.waiters[port] = append(c.waiters[port], attempt)
+	c.waiters[port] = append(c.waiters[port], sendWaiter{handle: handle, granted: granted})
+}
+
+// sendWaiter is a send blocked on a full TFIFO.
+type sendWaiter struct {
+	handle  int64
+	granted func()
+}
+
+// grantSend claims a TFIFO slot on port for handle and starts transmitting.
+func (c *Chip) grantSend(handle int64, port int, granted func()) {
+	c.tfifoUsed[port]++
+	c.startTransmit(handle, port)
+	granted()
 }
 
 func (c *Chip) startTransmit(handle int64, port int) {
@@ -366,7 +373,7 @@ func (c *Chip) startTransmit(handle int64, port int) {
 		if len(c.waiters[port]) > 0 {
 			w := c.waiters[port][0]
 			c.waiters[port] = c.waiters[port][1:]
-			w()
+			c.grantSend(w.handle, port, w.granted)
 		}
 	})
 }

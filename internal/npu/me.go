@@ -37,6 +37,18 @@ type context struct {
 	regs   [isa.NumRegs]int64
 	state  ctxState
 	reason blockReason
+
+	// The context's one outstanding unit request. A context blocks the
+	// moment it issues a memory reference or a send, so it never has two;
+	// issueFn delivers the request at its issue time — to reqMC, or to the
+	// egress path when reqMC is nil (sendHandle) — and wakeFn marks the
+	// context ready when it completes. Both are bound once in newME, so
+	// blocking allocates nothing.
+	req        memRequest
+	reqMC      *memController
+	sendHandle int64
+	issueFn    func()
+	wakeFn     func()
 }
 
 // noTime marks "no pending idle timestamp".
@@ -81,6 +93,11 @@ type ME struct {
 	sleepWakes uint64
 
 	stepPending bool
+	stepFn      sim.Handler // me.step, bound once so scheduling allocates nothing
+
+	// pollHead marks the program counters that head an empty-queue poll
+	// loop (see markPollLoops); step fast-forwards through them.
+	pollHead []bool
 
 	// statistics
 	instrCount  uint64
@@ -103,7 +120,51 @@ func newME(chip *Chip, idx int, prog *isa.Program, vf power.VF) *ME {
 	me.vfTrack = fmt.Sprintf("me%d vf", idx)
 	me.mhzCounter = fmt.Sprintf("me%d_mhz", idx)
 	me.period = sim.NewClock(vf.MHz).Period()
+	me.stepFn = me.step
+	for ci := range me.ctxs {
+		ci := ci
+		me.ctxs[ci].wakeFn = func() { me.wake(ci) }
+		me.ctxs[ci].issueFn = func() { me.issue(ci) }
+	}
+	me.pollHead = markPollLoops(prog)
 	return me
+}
+
+// markPollLoops marks every pc heading a three-instruction poll loop
+//
+//	head: rx.pop rD        (or tx.pop rD)
+//	      imm    rX, -1
+//	      beq    rD, rX, head   (either operand order, rX != rD)
+//
+// While the polled queue is empty such a loop spins in place: the pop
+// yields -1, the imm reloads -1 and the branch is always taken, touching
+// nothing but rD, rX, pc and the poll counter. Each of the three
+// instructions costs one cycle, so step can compute where the spin stands
+// at the end of the batch instead of interpreting it.
+func markPollLoops(prog *isa.Program) []bool {
+	code := prog.Code
+	heads := make([]bool, len(code))
+	for pc := 0; pc+2 < len(code); pc++ {
+		pop, imm, beq := &code[pc], &code[pc+1], &code[pc+2]
+		if pop.Op != isa.OpRxPop && pop.Op != isa.OpTxPop {
+			continue
+		}
+		rd, rx := pop.Rd, imm.Rd
+		if imm.Op != isa.OpImm || imm.Imm != -1 || rx == rd {
+			continue
+		}
+		if beq.Op != isa.OpBeq || int(beq.Target) != pc {
+			continue
+		}
+		if !(beq.Ra == rd && beq.Rb == rx) && !(beq.Ra == rx && beq.Rb == rd) {
+			continue
+		}
+		if pop.Op.Cycles() != 1 || imm.Op.Cycles() != 1 || beq.Op.Cycles() != 1 {
+			continue
+		}
+		heads[pc] = true
+	}
+	return heads
 }
 
 // VF returns the current operating point.
@@ -318,7 +379,7 @@ func (me *ME) scheduleStep(at sim.Time) {
 		at = me.stallUntil
 	}
 	me.stepPending = true
-	me.chip.k.Schedule(at, me.step)
+	me.chip.k.Schedule(at, me.stepFn)
 }
 
 // wake marks a context ready (memory completion or FIFO grant).
@@ -461,6 +522,10 @@ func (me *ME) step() {
 		case isa.OpBge:
 			ctx.pc = me.branch(ctx, ctx.regs[in.Ra] >= ctx.regs[in.Rb], in)
 		case isa.OpRxPop:
+			if me.pollHead[ctx.pc] && len(me.chip.rfifo) == 0 {
+				cycles, instrs = me.spin(ctx, in, cycles, instrs, batchCap)
+				break
+			}
 			ctx.regs[in.Rd] = me.chip.rfifoPop()
 			me.pollCycles++
 			ctx.pc++
@@ -472,6 +537,10 @@ func (me *ME) step() {
 			}
 			ctx.pc++
 		case isa.OpTxPop:
+			if me.pollHead[ctx.pc] && len(me.chip.txRing) == 0 {
+				cycles, instrs = me.spin(ctx, in, cycles, instrs, batchCap)
+				break
+			}
 			ctx.regs[in.Rd] = me.chip.txRingPop()
 			ctx.pc++
 		case isa.OpPktF:
@@ -547,6 +616,34 @@ func (me *ME) step() {
 		// paper's sense) when the batch drains.
 		me.idleFrom = end
 	}
+}
+
+// spin fast-forwards the rest of the batch through an empty-queue poll
+// loop whose head pop, in, is executing with cycles and instrs already
+// counting it. The batch is one event, so nothing can fill the queue before
+// the batch ends: the loop provably spins until the cycle budget runs out,
+// and its state at that point follows from the remaining budget. Of the rem
+// one-cycle instructions left (this pop included), q full loop iterations
+// run, then r = rem%3 instructions of the next one. Each started iteration
+// is one pop; rD reads -1 from the first pop, rX is reloaded with -1 once
+// the imm has run. Only rx.pop counts toward PollCycles, matching the
+// interpreter. Returns the batch's final cycle and instruction counts.
+func (me *ME) spin(ctx *context, in *isa.Instr, cycles, instrs, batchCap int64) (int64, int64) {
+	rem := batchCap - cycles + 1
+	q, r := rem/3, rem%3
+	ctx.regs[in.Rd] = -1
+	if rem >= 2 {
+		ctx.regs[me.prog.Code[ctx.pc+1].Rd] = -1
+	}
+	if in.Op == isa.OpRxPop {
+		polls := q
+		if r > 0 {
+			polls++
+		}
+		me.pollCycles += uint64(polls)
+	}
+	ctx.pc += int(r)
+	return batchCap, instrs + rem - 1
 }
 
 // allBlockedOnMemory reports whether every live context is blocked on a
@@ -625,9 +722,21 @@ func (me *ME) issueMem(issueAt sim.Time, mc *memController, addr, words int64, w
 	me.memRefs++
 	me.ctxBlocks++
 	me.chip.chargeMem(unit, words)
-	me.chip.k.Schedule(issueAt, func() {
-		mc.request(memRequest{addr: addr, words: words, write: write, done: func() { me.wake(ci) }})
-	})
+	c := &me.ctxs[ci]
+	c.req = memRequest{addr: addr, words: words, write: write, done: c.wakeFn}
+	c.reqMC = mc
+	me.chip.k.Schedule(issueAt, c.issueFn)
+}
+
+// issue delivers context ci's outstanding request at its issue time: a
+// memory reference to its controller, or a packet to the egress path.
+func (me *ME) issue(ci int) {
+	c := &me.ctxs[ci]
+	if c.reqMC != nil {
+		c.reqMC.request(c.req)
+		return
+	}
+	me.chip.sendPacket(c.sendHandle, me.idx, c.wakeFn)
 }
 
 // blockOn blocks the current context for a fixed-latency unit access.
@@ -640,7 +749,7 @@ func (me *ME) blockOn(issueAt sim.Time, latency sim.Time, words int64, unit memU
 	if words > 0 {
 		me.chip.chargeMem(unit, words)
 	}
-	me.chip.k.Schedule(issueAt+latency, func() { me.wake(ci) })
+	me.chip.k.Schedule(issueAt+latency, me.ctxs[ci].wakeFn)
 }
 
 // blockForSend hands a packet to the egress machinery; the context wakes
@@ -650,9 +759,10 @@ func (me *ME) blockForSend(issueAt sim.Time, handle int64) {
 	me.ctxs[ci].state = ctxBlocked
 	me.ctxs[ci].reason = blockTransmit
 	me.ctxBlocks++
-	me.chip.k.Schedule(issueAt, func() {
-		me.chip.sendPacket(handle, me.idx, func() { me.wake(ci) })
-	})
+	c := &me.ctxs[ci]
+	c.reqMC = nil
+	c.sendHandle = handle
+	me.chip.k.Schedule(issueAt, c.issueFn)
 }
 
 // hash64 is the deterministic pseudo-data function standing in for memory

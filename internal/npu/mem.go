@@ -17,12 +17,23 @@ type memRequest struct {
 // units. Requests arrive at issue time, wait for the (single) command
 // pipeline, and occupy it for a service time computed by the timing
 // closure; banked row-state effects are folded into the service time.
+//
+// Being FCFS, the controller has at most one completion pending: the
+// request in service (inService, finishing at serviceEnd). Its completion
+// handler is bound once, so serving a request allocates nothing.
 type memController struct {
 	k       *sim.Kernel
 	name    string
 	busyTil sim.Time
-	queue   []memRequest
-	active  bool
+	// queue[head:] holds the waiting requests; the backing array is
+	// reused once the queue drains.
+	queue  []memRequest
+	head   int
+	active bool
+
+	inService  memRequest
+	serviceEnd sim.Time
+	completeFn sim.Handler // mc.complete
 	// service computes the occupancy of a request given the current time.
 	service func(r memRequest) sim.Time
 	// spans, when non-nil, receives one service-occupancy span per request
@@ -37,16 +48,25 @@ type memController struct {
 }
 
 func newMemController(k *sim.Kernel, name string, service func(memRequest) sim.Time) *memController {
-	return &memController{k: k, name: name, service: service}
+	mc := &memController{k: k, name: name, service: service}
+	mc.completeFn = mc.complete
+	return mc
 }
 
 // request enqueues a reference; done fires at completion.
 func (mc *memController) request(r memRequest) {
 	mc.requests++
 	mc.words += uint64(r.words)
+	if mc.head > 0 && len(mc.queue) == cap(mc.queue) {
+		// Slide the waiting requests to the front rather than grow past
+		// the served prefix.
+		n := copy(mc.queue, mc.queue[mc.head:])
+		clear(mc.queue[n:])
+		mc.queue, mc.head = mc.queue[:n], 0
+	}
 	mc.queue = append(mc.queue, r)
-	if len(mc.queue) > mc.maxQueue {
-		mc.maxQueue = len(mc.queue)
+	if n := len(mc.queue) - mc.head; n > mc.maxQueue {
+		mc.maxQueue = n
 	}
 	if !mc.active {
 		mc.active = true
@@ -55,12 +75,16 @@ func (mc *memController) request(r memRequest) {
 }
 
 func (mc *memController) serveNext(from sim.Time) {
-	if len(mc.queue) == 0 {
+	if mc.head == len(mc.queue) {
 		mc.active = false
 		return
 	}
-	r := mc.queue[0]
-	mc.queue = mc.queue[1:]
+	r := mc.queue[mc.head]
+	mc.queue[mc.head] = memRequest{} // drop the done closure for the GC
+	mc.head++
+	if mc.head == len(mc.queue) {
+		mc.queue, mc.head = mc.queue[:0], 0
+	}
 	start := from
 	if mc.busyTil > start {
 		start = mc.busyTil
@@ -79,10 +103,16 @@ func (mc *memController) serveNext(from sim.Time) {
 		}
 		mc.spans.Span(mc.name, name, "mem", start, end, nil)
 	}
-	mc.k.Schedule(end, func() {
-		r.done()
-		mc.serveNext(end)
-	})
+	mc.inService, mc.serviceEnd = r, end
+	mc.k.Schedule(end, mc.completeFn)
+}
+
+// complete finishes the request in service and starts the next one.
+func (mc *memController) complete() {
+	done, end := mc.inService.done, mc.serviceEnd
+	mc.inService = memRequest{}
+	done()
+	mc.serveNext(end)
 }
 
 // Stats for tests and reports.

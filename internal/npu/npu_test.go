@@ -70,6 +70,41 @@ func TestMemControllerFCFSAndQueueing(t *testing.T) {
 	}
 }
 
+// A controller whose queue never drains keeps FCFS order and reuses its
+// backing array instead of growing past the served prefix.
+func TestMemControllerQueueNeverDrains(t *testing.T) {
+	var k sim.Kernel
+	mc := newMemController(&k, "test", func(memRequest) sim.Time { return 10 })
+	var done []int
+	next := 0
+	var issue func()
+	issue = func() {
+		next++
+		n := next
+		mc.request(memRequest{words: 1, done: func() {
+			done = append(done, n)
+			if next < 1000 {
+				issue()
+			}
+		}})
+	}
+	for i := 0; i < 4; i++ {
+		issue()
+	}
+	k.Run()
+	if len(done) != 1000 {
+		t.Fatalf("completed %d requests, want 1000", len(done))
+	}
+	for i, n := range done {
+		if n != i+1 {
+			t.Fatalf("completion %d was request %d: not FCFS", i, n)
+		}
+	}
+	if c := cap(mc.queue); c > 8 {
+		t.Fatalf("queue capacity grew to %d with at most 4 requests in flight", c)
+	}
+}
+
 func TestSdramRowModel(t *testing.T) {
 	tm := newSdramTiming(4, 50, 10)
 	// First access to a row: miss.

@@ -3,16 +3,16 @@
 // clocked domains (DVS-scaled microengines, fixed-frequency memory
 // controllers and buses) compose without rounding drift.
 //
-// The kernel is deliberately small: an event heap with deterministic
-// tie-breaking, a Clock helper for cycle/time conversion, and a Ticker for
-// periodic callbacks. Determinism is a hard requirement — two runs with the
-// same configuration and seed must produce byte-identical traces — so events
-// scheduled for the same picosecond fire in scheduling order (FIFO), never
-// in map or heap-insertion-accident order.
+// The kernel is deliberately small: an allocation-free event queue (value
+// events in a recycled slab, ordered by a 4-ary min-heap, cancelled through
+// generation-checked EventIDs), a Clock helper for cycle/time conversion,
+// and a Ticker for periodic callbacks. Determinism is a hard requirement —
+// two runs with the same configuration and seed must produce byte-identical
+// traces — so events scheduled for the same picosecond fire in scheduling
+// order (FIFO), never in map or heap-insertion-accident order.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -53,68 +53,48 @@ func (t Time) String() string {
 // Handler is a scheduled callback. It runs exactly once at its due time.
 type Handler func()
 
-// event is one pending callback in the kernel's heap.
+// event is one pending callback, stored by value in the kernel's slab.
 type event struct {
 	at  Time
 	seq uint64 // scheduling order, breaks ties deterministically
 	fn  Handler
-	// index in the heap, maintained by the heap.Interface methods so that
-	// cancellation is O(log n).
-	index int
-	dead  bool
+	// gen is bumped each time the slot is handed out, so an EventID held
+	// past its event's dispatch or cancellation no longer matches.
+	gen uint32
+	// pos is the slot's index in the heap, or -1 while the slot is free;
+	// it makes cancellation O(log n).
+	pos int32
 }
 
-// EventID identifies a scheduled event so that it can be cancelled.
-type EventID struct{ ev *event }
-
-// eventHeap orders events by (time, sequence). It counts its own push, pop
-// and swap operations: swaps measure actual sift work (heap depth × churn),
-// the number a better queue implementation has to move, where pushes and
-// pops only measure traffic. One uint64 increment per operation is noise
-// next to the pointer writes the operation already does.
-type eventHeap struct {
-	evs []*event
-	// pushes/pops/swaps are operation counters for the perf trajectory.
-	// All three derive from the (deterministic) event schedule, so they
-	// are safe to publish into metrics snapshots.
-	pushes, pops, swaps uint64
+// EventID identifies a scheduled event so that it can be cancelled. It
+// names a slab slot plus the generation the slot had when the event was
+// scheduled, so cancelling an event that already fired or was cancelled
+// is a no-op even after its slot holds a newer event. The zero EventID
+// means "no event".
+type EventID struct {
+	slot uint32
+	gen  uint32
 }
 
-func (h *eventHeap) Len() int { return len(h.evs) }
-func (h *eventHeap) Less(i, j int) bool {
-	if h.evs[i].at != h.evs[j].at {
-		return h.evs[i].at < h.evs[j].at
-	}
-	return h.evs[i].seq < h.evs[j].seq
-}
-func (h *eventHeap) Swap(i, j int) {
-	h.swaps++
-	h.evs[i], h.evs[j] = h.evs[j], h.evs[i]
-	h.evs[i].index = i
-	h.evs[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	h.pushes++
-	ev := x.(*event)
-	ev.index = len(h.evs)
-	h.evs = append(h.evs, ev)
-}
-func (h *eventHeap) Pop() any {
-	h.pops++
-	n := len(h.evs)
-	ev := h.evs[n-1]
-	h.evs[n-1] = nil
-	ev.index = -1
-	h.evs = h.evs[:n-1]
-	return ev
-}
+// arity is the event heap's fan-out. A 4-ary heap is half as deep as a
+// binary one, and a node's four children share a cache line of slot
+// indices, so sifting a near-monotone stream of timestamps does fewer,
+// cheaper moves.
+const arity = 4
 
 // Kernel is the event queue and simulation clock. The zero value is ready to
 // use at time zero.
+//
+// Pending events live by value in a slab whose free slots are recycled
+// through a free list, and the queue is a 4-ary min-heap of slab indices
+// ordered by (time, sequence). Once the slab has grown to the run's
+// high-water mark, Schedule and Step allocate nothing.
 type Kernel struct {
 	now     Time
 	seq     uint64
-	heap    eventHeap
+	events  []event  // slab: every slot ever handed out
+	free    []uint32 // recycled slab slots, reused LIFO
+	heap    []uint32 // slab indices, a 4-ary min-heap on (at, seq)
 	stopped bool
 	// interrupted is the only cross-goroutine surface of the kernel: a
 	// watchdog may set it while the dispatch loop runs. It is sticky; a
@@ -124,6 +104,13 @@ type Kernel struct {
 	dispatched    uint64
 	cancelled     uint64
 	heapHighWater int
+	// pushes/pops/swaps are heap operation counters for the perf
+	// trajectory. Swaps count element moves during sifts — the actual
+	// sift work (heap depth × churn) a better queue has to cut, where
+	// pushes and pops only measure traffic. All three derive from the
+	// (deterministic) event schedule, so they are safe to publish into
+	// metrics snapshots.
+	pushes, pops, swaps uint64
 }
 
 // Now returns the current simulation time.
@@ -146,18 +133,19 @@ func (k *Kernel) Cancelled() uint64 { return k.cancelled }
 func (k *Kernel) HeapHighWater() int { return k.heapHighWater }
 
 // HeapPushes reports how many events have been pushed onto the event heap.
-func (k *Kernel) HeapPushes() uint64 { return k.heap.pushes }
+func (k *Kernel) HeapPushes() uint64 { return k.pushes }
 
 // HeapPops reports how many events have been popped off the event heap
 // (dispatches and cancellations both pop).
-func (k *Kernel) HeapPops() uint64 { return k.heap.pops }
+func (k *Kernel) HeapPops() uint64 { return k.pops }
 
-// HeapSwaps reports how many element swaps the event heap has performed —
-// the sift work the container/heap implementation did across all pushes,
-// pops and removals. This is the hot-path cost metric an event-queue
-// optimization is expected to move, where push/pop counts only reflect
-// event traffic.
-func (k *Kernel) HeapSwaps() uint64 { return k.heap.swaps }
+// HeapSwaps reports how many element moves the 4-ary event heap has made
+// while sifting, across all pushes, pops and removals. This is the
+// hot-path cost metric an event-queue optimization is expected to move,
+// where push/pop counts only reflect event traffic. The count depends on
+// the heap's shape: values taken from the earlier binary heap are not
+// comparable.
+func (k *Kernel) HeapSwaps() uint64 { return k.swaps }
 
 // Schedule runs fn at absolute time at. Scheduling in the past (before Now)
 // panics: it always indicates a model bug, and silently clamping it would
@@ -169,13 +157,28 @@ func (k *Kernel) Schedule(at Time, fn Handler) EventID {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	ev := &event{at: at, seq: k.seq, fn: fn}
-	k.seq++
-	heap.Push(&k.heap, ev)
-	if k.heap.Len() > k.heapHighWater {
-		k.heapHighWater = k.heap.Len()
+	var slot uint32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		slot = uint32(len(k.events))
+		k.events = append(k.events, event{})
 	}
-	return EventID{ev}
+	ev := &k.events[slot]
+	ev.gen++
+	if ev.gen == 0 { // wrapped: generation 0 is reserved for EventID{}
+		ev.gen = 1
+	}
+	ev.at, ev.seq, ev.fn = at, k.seq, fn
+	k.seq++
+	k.pushes++
+	k.heap = append(k.heap, slot)
+	k.up(len(k.heap)-1, slot)
+	if len(k.heap) > k.heapHighWater {
+		k.heapHighWater = len(k.heap)
+	}
+	return EventID{slot: slot, gen: ev.gen}
 }
 
 // After runs fn delay picoseconds from now.
@@ -187,20 +190,24 @@ func (k *Kernel) After(delay Time, fn Handler) EventID {
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op and reports false.
+// already-cancelled event, or the zero EventID, is a no-op and reports
+// false — also when the event's slot has since been reused.
 func (k *Kernel) Cancel(id EventID) bool {
-	ev := id.ev
-	if ev == nil || ev.dead || ev.index < 0 {
+	if id.gen == 0 || int(id.slot) >= len(k.events) {
 		return false
 	}
-	ev.dead = true
-	heap.Remove(&k.heap, ev.index)
+	ev := &k.events[id.slot]
+	if ev.gen != id.gen || ev.pos < 0 {
+		return false
+	}
+	k.remove(int(ev.pos))
+	k.release(id.slot)
 	k.cancelled++
 	return true
 }
 
 // Pending reports the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return k.heap.Len() }
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Stop makes Run return after the currently dispatching event completes.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -223,16 +230,18 @@ const interruptCheck = 1024
 
 // Step dispatches the single next event, if any, and reports whether one ran.
 func (k *Kernel) Step() bool {
-	if k.heap.Len() == 0 {
+	if len(k.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&k.heap).(*event)
-	if ev.dead {
-		return k.Step()
-	}
+	slot := k.heap[0]
+	k.remove(0)
+	ev := &k.events[slot]
+	fn := ev.fn
 	k.now = ev.at
+	// Free the slot before dispatch: the handler may schedule into it.
+	k.release(slot)
 	k.dispatched++
-	ev.fn()
+	fn()
 	return true
 }
 
@@ -243,10 +252,10 @@ func (k *Kernel) Step() bool {
 func (k *Kernel) RunUntil(deadline Time) {
 	k.stopped = false
 	for !k.stopped {
-		if k.heap.Len() == 0 {
+		if len(k.heap) == 0 {
 			break
 		}
-		if k.heap.evs[0].at > deadline {
+		if k.events[k.heap[0]].at > deadline {
 			break
 		}
 		if k.dispatched%interruptCheck == 0 && k.interrupted.Load() {
@@ -269,6 +278,86 @@ func (k *Kernel) Run() {
 		if !k.Step() {
 			break
 		}
+	}
+}
+
+// release returns a slot to the free list. Its generation stays, so IDs
+// naming the old occupant fail the generation check once it is reused.
+func (k *Kernel) release(slot uint32) {
+	ev := &k.events[slot]
+	ev.fn = nil // drop the closure for the GC
+	ev.pos = -1
+	k.free = append(k.free, slot)
+}
+
+// before orders slots a and b by (time, sequence).
+func (k *Kernel) before(a, b uint32) bool {
+	ea, eb := &k.events[a], &k.events[b]
+	if ea.at != eb.at {
+		return ea.at < eb.at
+	}
+	return ea.seq < eb.seq
+}
+
+// place stores slot at heap index i and records the position in the slab.
+func (k *Kernel) place(i int, slot uint32) {
+	k.heap[i] = slot
+	k.events[slot].pos = int32(i)
+}
+
+// up sifts slot toward the root from the hole at index i.
+func (k *Kernel) up(i int, slot uint32) {
+	for i > 0 {
+		parent := (i - 1) / arity
+		if !k.before(slot, k.heap[parent]) {
+			break
+		}
+		k.place(i, k.heap[parent])
+		k.swaps++
+		i = parent
+	}
+	k.place(i, slot)
+}
+
+// down sifts slot toward the leaves from the hole at index i and reports
+// whether it moved.
+func (k *Kernel) down(i int, slot uint32) bool {
+	start := i
+	n := len(k.heap)
+	for {
+		first := arity*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < first+arity && c < n; c++ {
+			if k.before(k.heap[c], k.heap[best]) {
+				best = c
+			}
+		}
+		if !k.before(k.heap[best], slot) {
+			break
+		}
+		k.place(i, k.heap[best])
+		k.swaps++
+		i = best
+	}
+	k.place(i, slot)
+	return i != start
+}
+
+// remove takes the element at heap index i out of the heap, refilling the
+// hole with the last element.
+func (k *Kernel) remove(i int) {
+	k.pops++
+	last := len(k.heap) - 1
+	tail := k.heap[last]
+	k.heap = k.heap[:last]
+	if i == last {
+		return
+	}
+	if !k.down(i, tail) {
+		k.up(i, tail)
 	}
 }
 
@@ -312,6 +401,7 @@ type Ticker struct {
 	k        *Kernel
 	interval Time
 	fn       func(Time)
+	fireFn   Handler // t.fire, bound once so re-arming allocates nothing
 	id       EventID
 	stopped  bool
 }
@@ -323,21 +413,21 @@ func NewTicker(k *Kernel, interval Time, fn func(Time)) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker interval %v", interval))
 	}
 	t := &Ticker{k: k, interval: interval, fn: fn}
+	t.fireFn = t.fire
 	t.arm()
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.id = t.k.After(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		at := t.k.Now()
-		t.fn(at)
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.id = t.k.After(t.interval, t.fireFn) }
+
+func (t *Ticker) fire() {
+	if t.stopped {
+		return
+	}
+	t.fn(t.k.Now())
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Interval returns the ticker period.

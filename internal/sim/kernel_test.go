@@ -339,3 +339,152 @@ func BenchmarkKernelChurn(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 }
+
+func TestCancelStaleIDAfterSlotReuse(t *testing.T) {
+	var k Kernel
+	fired := k.Schedule(1, func() {})
+	k.Run()
+	cancelled := k.Schedule(2, func() {})
+	if !k.Cancel(cancelled) {
+		t.Fatal("Cancel of a pending event reported false")
+	}
+	// Both stale IDs name the slot the next event reuses.
+	ran := false
+	live := k.Schedule(3, func() { ran = true })
+	if live.slot != fired.slot || live.slot != cancelled.slot {
+		t.Fatalf("slot not reused: fired %d, cancelled %d, live %d", fired.slot, cancelled.slot, live.slot)
+	}
+	if k.Cancel(fired) || k.Cancel(cancelled) {
+		t.Fatal("Cancel with a stale EventID reported true")
+	}
+	if k.Pending() != 1 {
+		t.Fatalf("Pending = %d after stale cancels, want 1", k.Pending())
+	}
+	k.Run()
+	if !ran {
+		t.Fatal("stale Cancel removed the slot's new occupant")
+	}
+	if k.Cancelled() != 1 {
+		t.Fatalf("Cancelled = %d, want 1", k.Cancelled())
+	}
+}
+
+func TestCancelZeroID(t *testing.T) {
+	var k Kernel
+	if k.Cancel(EventID{}) {
+		t.Fatal("Cancel(EventID{}) on an empty kernel reported true")
+	}
+	ran := false
+	k.Schedule(1, func() { ran = true })
+	if k.Cancel(EventID{}) {
+		t.Fatal("Cancel(EventID{}) reported true")
+	}
+	k.Run()
+	if !ran {
+		t.Fatal("Cancel(EventID{}) removed a pending event")
+	}
+}
+
+// Differential property: for random schedule, cancel and nested
+// reschedule sequences, the kernel dispatches exactly the events that were
+// never cancelled, in the order of a reference sort by (at, seq), and
+// Cancel reports true exactly for events still pending.
+func TestDispatchOrderMatchesReference(t *testing.T) {
+	type rec struct {
+		at        Time
+		seq       uint64
+		fired     bool
+		cancelled bool
+	}
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var k Kernel
+		var recs []*rec
+		var ids []EventID
+		var order []uint64 // dispatched seqs
+		ok := true
+		var schedule func(at Time)
+		cancelRandom := func() {
+			if len(ids) == 0 {
+				return
+			}
+			i := rng.Intn(len(ids))
+			r := recs[i]
+			pending := !r.fired && !r.cancelled
+			if got := k.Cancel(ids[i]); got != pending {
+				ok = false
+			}
+			if pending {
+				r.cancelled = true
+			}
+		}
+		schedule = func(at Time) {
+			r := &rec{at: at, seq: k.Scheduled()}
+			recs = append(recs, r)
+			ids = append(ids, k.Schedule(at, func() {
+				if r.fired || r.cancelled || k.Now() != r.at {
+					ok = false
+				}
+				r.fired = true
+				order = append(order, r.seq)
+				switch rng.Intn(4) {
+				case 0:
+					schedule(k.Now() + Time(rng.Int63n(20)))
+				case 1:
+					schedule(k.Now())
+					schedule(k.Now() + Time(rng.Int63n(5)))
+				case 2:
+					cancelRandom()
+				}
+			}))
+		}
+		for i := 0; i < int(n)%96+1; i++ {
+			schedule(Time(rng.Int63n(200)))
+			if rng.Intn(4) == 0 {
+				cancelRandom()
+			}
+		}
+		k.Run()
+		var want []*rec
+		for _, r := range recs {
+			if !r.cancelled {
+				want = append(want, r)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		if !ok || len(order) != len(want) || k.Pending() != 0 {
+			return false
+		}
+		for i, r := range want {
+			if order[i] != r.seq {
+				return false
+			}
+		}
+		return k.HeapPops() == k.HeapPushes() && k.Dispatched()+k.Cancelled() == k.HeapPushes()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A steady-state Schedule+Step allocates nothing: events live by value in
+// a recycled slab.
+func TestScheduleStepAllocationFree(t *testing.T) {
+	var k Kernel
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.Schedule(k.Now()+Time(i%7), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.After(3, fn)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Schedule+Step allocated %v times per run, want 0", allocs)
+	}
+}
