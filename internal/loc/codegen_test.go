@@ -228,23 +228,80 @@ func TestGeneratedDistMatchesRunner(t *testing.T) {
 // TestGeneratedReportByteIdentical asserts the tentpole guarantee: for one
 // trace, the assertion report written by a locgen-generated checker is
 // byte-identical to the one the in-process VM builds — witnesses, worst
-// offender, density and all. Both paths parse the same text trace so the
-// float64 inputs are bit-equal. Skipped in -short mode (shells out to go).
+// offender, density and all — across the formula shapes the evaluator
+// distinguishes (relative, negative and pinned indices, single-instance
+// formulas, calls, distributions, and a violation count past the retention
+// cap). Both paths parse the same text trace so the float64 inputs are
+// bit-equal. Skipped in -short mode (shells out to go).
 func TestGeneratedReportByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("requires go toolchain run")
 	}
-	formula := "cycle(deq[i]) - cycle(enq[i]) <= 50"
-	evs := mkTrace(40, func(k int) uint64 {
+	evs := mkTrace(400, func(k int) uint64 {
 		if k%7 == 0 {
-			return uint64(60 + k)
+			return uint64(60 + k/8)
 		}
-		return 30
+		return uint64(30 + (k*37)%23)
 	})
-
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.txt")
-	tf, err := os.Create(tracePath)
+	tracePath := writeTextTrace(t, dir, evs)
+	cases := []struct{ name, formula string }{
+		{"relative", "cycle(deq[i]) - cycle(enq[i]) <= 50"},
+		{"negative-offset", "cycle(deq[i-3]) - cycle(enq[i]) <= 10"},
+		{"pinned", "cycle(deq[i]) - cycle(enq[0]) <= 5000"},
+		{"single-instance", "cycle(deq[5]) - cycle(enq[2]) <= 10"},
+		{"calls", "max(abs(cycle(enq[i]) - cycle(deq[i])), 10) <= 55"},
+		{"cdf", "cycle(forward[i+10]) - cycle(forward[i]) cdf [0, 200, 50]"},
+		{"hist", "(energy(forward[i+20]) - energy(forward[i])) / (time(forward[i+20]) - time(forward[i])) hist [0, 20, 0.5]"},
+		{"past-retention-cap", "cycle(deq[i]) - cycle(enq[i]) <= 40"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// VM path: re-read the written trace so both evaluators see the
+			// exact same parsed floats.
+			in, err := os.Open(tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			source, err := trace.OpenSource(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := RunFormulas(c.formula, source, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := BuildReport(results).JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ch := results[0].Check; c.name == "past-retention-cap" && (ch.Total <= 100 || ch.Worst.Instance <= ch.Violations[99].Instance) {
+				t.Fatalf("%d violations, worst i=%d; the case must put the worst past the retention cap", ch.Total, ch.Worst.Instance)
+			}
+
+			bin := buildChecker(t, dir, c.name, MustParse(c.formula))
+			reportPath := filepath.Join(dir, c.name+".json")
+			out, err := exec.Command(bin, "-report", reportPath, tracePath).CombinedOutput()
+			if _, ok := err.(*exec.ExitError); err != nil && !ok {
+				t.Fatalf("run: %v\n%s", err, out)
+			}
+			got, err := os.ReadFile(reportPath)
+			if err != nil {
+				t.Fatalf("generated checker wrote no report: %v\noutput:\n%s", err, out)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("generated report differs from VM report:\n--- generated ---\n%s\n--- vm ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// writeTextTrace stores evs as a text trace in dir and returns its path.
+func writeTextTrace(t *testing.T, dir string, evs []trace.Event) string {
+	t.Helper()
+	path := filepath.Join(dir, "trace.txt")
+	tf, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,52 +311,35 @@ func TestGeneratedReportByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tw.Close()
-	tf.Close()
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
-	// VM path: re-read the written trace so both evaluators see the exact
-	// same parsed floats.
-	in, err := os.Open(tracePath)
+// buildChecker generates the checker for f into dir and builds it into a
+// binary, returning the binary's path. A real binary (rather than `go run`)
+// keeps the checker's own exit status visible.
+func buildChecker(t *testing.T, dir, name string, f *Formula) string {
+	t.Helper()
+	src, err := GenerateGo(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer in.Close()
-	source, err := trace.OpenSource(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunFormulas(formula, source, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := BuildReport(results).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Generated-checker path.
-	src, err := GenerateGo(MustParse(formula), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mainPath := filepath.Join(dir, "checker.go")
+	mainPath := filepath.Join(dir, name+".go")
 	if err := os.WriteFile(mainPath, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reportPath := filepath.Join(dir, "report.json")
-	cmd := exec.Command("go", "run", mainPath, "-report", reportPath, tracePath)
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("generated checker exited 0 on violating trace:\n%s", out)
+	bin := filepath.Join(dir, name)
+	build := exec.Command("go", "build", "-o", bin, mainPath)
+	build.Dir = dir
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	got, err := os.ReadFile(reportPath)
-	if err != nil {
-		t.Fatalf("generated checker wrote no report: %v\noutput:\n%s", err, out)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("generated report differs from VM report:\n--- generated ---\n%s\n--- vm ---\n%s", got, want)
-	}
+	return bin
 }
 
 func dataRows(s string) []string {
