@@ -33,6 +33,7 @@ var DeterministicPackages = []string{
 	"internal/dvs",
 	"internal/loc",
 	"internal/loc/interval",
+	"internal/loc/locrt",
 	"internal/npu",
 	"internal/policy",
 	"internal/power",

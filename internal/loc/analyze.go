@@ -3,6 +3,8 @@ package loc
 import (
 	"fmt"
 	"sort"
+
+	"nepdvs/internal/stats"
 )
 
 // Ref is a unique (annotation, event, index) slot referenced by a formula.
@@ -110,62 +112,20 @@ func (a *Analysis) Events() []string {
 // history windows. A nil schema defers annotation-name checking to runtime.
 func Analyze(f *Formula, schema map[string]bool) (*Analysis, error) {
 	if f.Kind == KindDist {
-		if f.Period.Step <= 0 {
-			return nil, errf(f.Pos, "analysis period %v has non-positive step", f.Period)
-		}
-		if f.Period.Max <= f.Period.Min {
-			return nil, errf(f.Pos, "analysis period %v has max <= min", f.Period)
+		if err := checkPeriod(f.Period); err != nil {
+			return nil, errf(f.Pos, "%v", err)
 		}
 	}
-	a := &Analysis{Formula: f, Windows: make(map[string]*EventWindow)}
-	slot := map[Ref]bool{}
-	var walkErr error
-	f.Walk(func(e Expr) {
-		if walkErr != nil {
-			return
+	refs, first, windows, usesIndexVar := inferRefs(f)
+	for _, n := range first {
+		if schema != nil && !schema[n.Ann] {
+			return nil, errf(n.Pos, "unknown annotation %q (trace schema has %s)", n.Ann, schemaList(schema))
 		}
-		switch n := e.(type) {
-		case *IndexVar:
-			a.UsesIndexVar = true
-		case *AnnRef:
-			if schema != nil && !schema[n.Ann] {
-				walkErr = errf(n.Pos, "unknown annotation %q (trace schema has %s)", n.Ann, schemaList(schema))
-				return
-			}
-			if !n.Index.Rel && n.Index.Offset < 0 {
-				walkErr = errf(n.Pos, "absolute event index must be non-negative, got %d", n.Index.Offset)
-				return
-			}
-			r := Ref{Ann: n.Ann, Event: n.Event, Index: clearPos(n.Index)}
-			if !slot[r] {
-				slot[r] = true
-				a.Refs = append(a.Refs, r)
-			}
-			w := a.Windows[n.Event]
-			if w == nil {
-				w = &EventWindow{Event: n.Event}
-				a.Windows[n.Event] = w
-			}
-			if n.Index.Rel {
-				if !w.HasRel {
-					w.HasRel = true
-					w.MinOff, w.MaxOff = n.Index.Offset, n.Index.Offset
-				} else {
-					if n.Index.Offset < w.MinOff {
-						w.MinOff = n.Index.Offset
-					}
-					if n.Index.Offset > w.MaxOff {
-						w.MaxOff = n.Index.Offset
-					}
-				}
-			} else {
-				w.AbsIndices = insertSorted(w.AbsIndices, n.Index.Offset)
-			}
+		if !n.Index.Rel && n.Index.Offset < 0 {
+			return nil, errf(n.Pos, "absolute event index must be non-negative, got %d", n.Index.Offset)
 		}
-	})
-	if walkErr != nil {
-		return nil, walkErr
 	}
+	a := &Analysis{Formula: f, Refs: refs, Windows: windows, UsesIndexVar: usesIndexVar}
 	if len(a.Refs) == 0 {
 		return nil, errf(f.Pos, "formula references no trace events; nothing to check")
 	}
@@ -173,15 +133,64 @@ func Analyze(f *Formula, schema map[string]bool) (*Analysis, error) {
 	// formula describes exactly one instance (all indices pinned), so using
 	// i would quantify over an unbounded set no trace can ever satisfy the
 	// runner to enumerate.
-	if a.UsesIndexVar && !a.hasRel() {
+	if a.UsesIndexVar && !hasRel(a.Windows) {
 		return nil, errf(f.Pos, "formula uses the instance index i but no relative event reference; the instance stream is unbounded")
 	}
 	return a, nil
 }
 
-// hasRel reports whether any reference uses a relative (i-based) index.
-func (a *Analysis) hasRel() bool {
-	for _, w := range a.Windows {
+// checkPeriod applies the histogram's period rules, so a period passes
+// analysis exactly when the runner can bin it.
+func checkPeriod(p Period) error {
+	if _, err := stats.PeriodBins(p.Min, p.Max, p.Step); err != nil {
+		return fmt.Errorf("analysis period %v: %v", p, err)
+	}
+	return nil
+}
+
+// inferRefs walks f once: it collects the distinct annotation references
+// in first-appearance order (with the node of each first appearance), infers
+// the per-event history windows (ignoring invalid negative absolute
+// indices), and reports whether the arithmetic uses the index i itself.
+func inferRefs(f *Formula) (refs []Ref, first []*AnnRef, windows map[string]*EventWindow, usesIndexVar bool) {
+	windows = make(map[string]*EventWindow)
+	seen := map[Ref]bool{}
+	f.Walk(func(e Expr) {
+		if _, ok := e.(*IndexVar); ok {
+			usesIndexVar = true
+		}
+		n, ok := e.(*AnnRef)
+		if !ok {
+			return
+		}
+		r := Ref{Ann: n.Ann, Event: n.Event, Index: clearPos(n.Index)}
+		if seen[r] {
+			return
+		}
+		seen[r] = true
+		refs, first = append(refs, r), append(first, n)
+		w := windows[n.Event]
+		if w == nil {
+			w = &EventWindow{Event: n.Event}
+			windows[n.Event] = w
+		}
+		switch off := n.Index.Offset; {
+		case !n.Index.Rel:
+			if off >= 0 {
+				w.AbsIndices = insertSorted(w.AbsIndices, off)
+			}
+		case !w.HasRel:
+			w.HasRel, w.MinOff, w.MaxOff = true, off, off
+		default:
+			w.MinOff, w.MaxOff = min(w.MinOff, off), max(w.MaxOff, off)
+		}
+	})
+	return refs, first, windows, usesIndexVar
+}
+
+// hasRel reports whether any window has a relative (i-based) reference.
+func hasRel(windows map[string]*EventWindow) bool {
+	for _, w := range windows {
 		if w.HasRel {
 			return true
 		}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"nepdvs/internal/loc/locrt"
+	"nepdvs/internal/stats"
 	"nepdvs/internal/trace"
 )
 
@@ -18,15 +20,19 @@ func TestGenerateGoContainsArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// gofmt aligns the literal's keys, so compare with runs of blanks
+	// collapsed.
+	flat := strings.Join(strings.Fields(src), " ")
 	for _, want := range []string{
 		"package main",
-		"const isDistFormula = true",
-		`distOp = "cdf"`,
-		"perMin, perMax, perStep = 0.5, 2.25, 0.01",
-		`{ann: "energy", event: "forward", rel: true, off: 100}`,
+		`Name: "power",`,
+		`View: "cdf",`,
+		"Min: 0.5, Max: 2.25, Step: 0.01,",
+		`{Name: "energy(forward[i+100])", Ann: "energy", Event: "forward", Rel: true, Off: 100},`,
+		"func NewHistogram(",
 		"func main()",
 	} {
-		if !strings.Contains(src, want) {
+		if !strings.Contains(flat, want) {
 			t.Errorf("generated source missing %q", want)
 		}
 	}
@@ -38,16 +44,14 @@ func TestGenerateGoChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"const isDistFormula = false", `relOp = "<="`, "var rhsProg"} {
-		if want == "var rhsProg" {
-			if !strings.Contains(src, "rhsProg = []instr{") {
-				t.Errorf("checker source missing rhs program")
-			}
-			continue
-		}
-		if !strings.Contains(src, want) {
+	flat := strings.Join(strings.Fields(src), " ")
+	for _, want := range []string{"Rel: OpLE,", "RHS: &Program{", "{Op: OpConst, Val: 50},"} {
+		if !strings.Contains(flat, want) {
 			t.Errorf("generated source missing %q", want)
 		}
+	}
+	if strings.Contains(flat, "View:") {
+		t.Error("checker source carries a distribution view")
 	}
 }
 
@@ -73,22 +77,8 @@ func TestGeneratedCheckerRuns(t *testing.T) {
 		return 30
 	})
 
-	// Write trace to a temp file in text format.
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.txt")
-	tf, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := trace.NewTextWriter(tf)
-	for i := range evs {
-		if err := tw.Emit(&evs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tw.Close()
-	tf.Close()
-
+	tracePath := writeTextTrace(t, dir, evs)
 	src, err := GenerateGo(MustParse(formula), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -120,34 +110,25 @@ func TestGeneratedCheckerRuns(t *testing.T) {
 // TestGeneratedCheckerExitStatus feeds a generated analyzer malformed
 // traces and asserts it dies with status 2 — a malformed trace must never
 // be reported as a pass (exit 0) or be confused with an assertion
-// violation (exit 1). Skipped in -short mode (shells out to `go run`).
+// violation (exit 1). Skipped in -short mode (shells out to `go build`).
 func TestGeneratedCheckerExitStatus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("requires go toolchain run")
 	}
 	dir := t.TempDir()
-	src, err := GenerateGo(MustParse("cycle(deq[i]) - cycle(enq[i]) <= 50"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mainPath := filepath.Join(dir, "checker.go")
-	if err := os.WriteFile(mainPath, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Build a real binary: `go run` collapses every child status to its own
-	// exit 1, hiding the code under test.
-	binPath := filepath.Join(dir, "checker")
-	build := exec.Command("go", "build", "-o", binPath, mainPath)
-	build.Dir = dir
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	binPath := buildChecker(t, dir, "checker", MustParse("cycle(deq[i]) - cycle(enq[i]) <= 50"))
 	cases := []struct {
 		name, input string
 	}{
 		{"too-few-fields", "1 2 3\n"},
 		{"bad-number", "x 2 3 4 5 enq\n"},
 		{"bad-extra", "1 2 3 4 5 enq junk\n"},
+		// The trace reader's integer columns and extra-key rule apply.
+		{"fractional-cycle", "1.5 2 3 4 5 enq\n"},
+		{"negative-cycle", "-1 2 3 4 5 enq\n"},
+		{"nan-cycle", "NaN 2 3 4 5 enq\n"},
+		{"fractional-total-pkt", "1 2 3 4.5 5 enq\n"},
+		{"empty-extra-key", "1 2 3 4 5 enq =5\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -173,55 +154,25 @@ func TestGeneratedCheckerExitStatus(t *testing.T) {
 }
 
 // TestGeneratedDistMatchesRunner compares a generated distribution
-// analyzer's table against the in-process runner bin by bin.
+// analyzer's whole output with the in-process runner's summary.
 func TestGeneratedDistMatchesRunner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("requires go toolchain run")
 	}
 	formula := "cycle(forward[i+10]) - cycle(forward[i]) cdf [0, 200, 50]"
 	evs := mkTrace(60, func(k int) uint64 { return uint64(20 + k%3) })
-
 	res := runOne(t, formula, evs)
-	want := res.Dist.Render()
+	want := res.Summary()
 
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.txt")
-	tf, err := os.Create(tracePath)
+	tracePath := writeTextTrace(t, dir, evs)
+	bin := buildChecker(t, dir, "analyzer", MustParse(formula))
+	got, err := exec.Command(bin, tracePath).Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("generated analyzer failed: %v\n%s", err, got)
 	}
-	tw := trace.NewTextWriter(tf)
-	for i := range evs {
-		tw.Emit(&evs[i])
-	}
-	tw.Close()
-	tf.Close()
-
-	src, err := GenerateGo(MustParse(formula), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mainPath := filepath.Join(dir, "analyzer.go")
-	if err := os.WriteFile(mainPath, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", mainPath, tracePath)
-	cmd.Dir = dir
-	outB, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("generated analyzer failed: %v\n%s", err, outB)
-	}
-	// Compare the numeric rows (skip headers, which differ in wording).
-	gotRows := dataRows(string(outB))
-	wantRows := dataRows(want)
-	if len(gotRows) != len(wantRows) {
-		t.Fatalf("row count mismatch: generated %d vs runner %d\ngen:\n%s\nrunner:\n%s",
-			len(gotRows), len(wantRows), outB, want)
-	}
-	for k := range wantRows {
-		if gotRows[k] != wantRows[k] {
-			t.Errorf("row %d: generated %q vs runner %q", k, gotRows[k], wantRows[k])
-		}
+	if string(got) != want {
+		t.Fatalf("generated analyzer output differs from the runner:\n--- generated ---\n%s--- runner ---\n%s", got, want)
 	}
 }
 
@@ -237,25 +188,9 @@ func TestGeneratedReportByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("requires go toolchain run")
 	}
-	evs := mkTrace(400, func(k int) uint64 {
-		if k%7 == 0 {
-			return uint64(60 + k/8)
-		}
-		return uint64(30 + (k*37)%23)
-	})
 	dir := t.TempDir()
-	tracePath := writeTextTrace(t, dir, evs)
-	cases := []struct{ name, formula string }{
-		{"relative", "cycle(deq[i]) - cycle(enq[i]) <= 50"},
-		{"negative-offset", "cycle(deq[i-3]) - cycle(enq[i]) <= 10"},
-		{"pinned", "cycle(deq[i]) - cycle(enq[0]) <= 5000"},
-		{"single-instance", "cycle(deq[5]) - cycle(enq[2]) <= 10"},
-		{"calls", "max(abs(cycle(enq[i]) - cycle(deq[i])), 10) <= 55"},
-		{"cdf", "cycle(forward[i+10]) - cycle(forward[i]) cdf [0, 200, 50]"},
-		{"hist", "(energy(forward[i+20]) - energy(forward[i])) / (time(forward[i+20]) - time(forward[i])) hist [0, 20, 0.5]"},
-		{"past-retention-cap", "cycle(deq[i]) - cycle(enq[i]) <= 40"},
-	}
-	for _, c := range cases {
+	tracePath := writeTextTrace(t, dir, shapeTrace())
+	for _, c := range formulaShapes {
 		t.Run(c.name, func(t *testing.T) {
 			// VM path: re-read the written trace so both evaluators see the
 			// exact same parsed floats.
@@ -282,9 +217,12 @@ func TestGeneratedReportByteIdentical(t *testing.T) {
 
 			bin := buildChecker(t, dir, c.name, MustParse(c.formula))
 			reportPath := filepath.Join(dir, c.name+".json")
-			out, err := exec.Command(bin, "-report", reportPath, tracePath).CombinedOutput()
+			out, err := exec.Command(bin, "-report", reportPath, tracePath).Output()
 			if _, ok := err.(*exec.ExitError); err != nil && !ok {
 				t.Fatalf("run: %v\n%s", err, out)
+			}
+			if want := results[0].Summary(); string(out) != want {
+				t.Fatalf("generated checker stdout differs from Result.Summary:\n--- generated ---\n%s--- vm ---\n%s", out, want)
 			}
 			got, err := os.ReadFile(reportPath)
 			if err != nil {
@@ -292,6 +230,87 @@ func TestGeneratedReportByteIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("generated report differs from VM report:\n--- generated ---\n%s\n--- vm ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// formulaShapes are the formula shapes the evaluator distinguishes:
+// relative, negative and pinned indices, a single-instance formula, calls,
+// distributions, and a violation count past the retention cap whose worst
+// offender lies beyond the cap.
+var formulaShapes = []struct{ name, formula string }{
+	{"relative", "cycle(deq[i]) - cycle(enq[i]) <= 50"},
+	{"negative-offset", "cycle(deq[i-3]) - cycle(enq[i]) <= 10"},
+	{"pinned", "cycle(deq[i]) - cycle(enq[0]) <= 5000"},
+	{"single-instance", "cycle(deq[5]) - cycle(enq[2]) <= 10"},
+	{"calls", "max(abs(cycle(enq[i]) - cycle(deq[i])), 10) <= 55"},
+	{"cdf", "cycle(forward[i+10]) - cycle(forward[i]) cdf [0, 200, 50]"},
+	{"hist", "(energy(forward[i+20]) - energy(forward[i])) / (time(forward[i+20]) - time(forward[i])) hist [0, 20, 0.5]"},
+	{"past-retention-cap", "cycle(deq[i]) - cycle(enq[i]) <= 40"},
+}
+
+// shapeTrace is the 400-packet trace formulaShapes run over.
+func shapeTrace() []trace.Event {
+	return mkTrace(400, func(k int) uint64 {
+		if k%7 == 0 {
+			return uint64(60 + k/8)
+		}
+		return uint64(30 + (k*37)%23)
+	})
+}
+
+// TestCheckerDriverMatchesRunner runs the generated checker's driver in
+// process — no toolchain needed — over every formula shape and requires
+// its stdout, -report bytes and exit status to match the runner's Summary,
+// BuildReport and verdict.
+func TestCheckerDriverMatchesRunner(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := writeTextTrace(t, dir, shapeTrace())
+	text, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range formulaShapes {
+		t.Run(c.name, func(t *testing.T) {
+			source, err := trace.OpenSource(bytes.NewReader(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := RunFormulas(c.formula, source, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := BuildReport(results)
+			wantReport, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCode := 0
+			if rep.Failed() {
+				wantCode = 1
+			}
+
+			sp, err := checkerSpec(MustParse(c.formula), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportPath := filepath.Join(dir, c.name+".json")
+			var stdout, stderr bytes.Buffer
+			code := locrt.Main(sp, stats.NewHistogram, RunnerOptions{},
+				[]string{"-report", reportPath}, bytes.NewReader(text), &stdout, &stderr)
+			if code != wantCode {
+				t.Fatalf("exit = %d, want %d; stderr: %s", code, wantCode, stderr.String())
+			}
+			if want := results[0].Summary(); stdout.String() != want {
+				t.Fatalf("stdout differs from Result.Summary:\n--- driver ---\n%s--- runner ---\n%s", stdout.String(), want)
+			}
+			got, err := os.ReadFile(reportPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantReport) {
+				t.Fatalf("-report differs from BuildReport:\n--- driver ---\n%s\n--- runner ---\n%s", got, wantReport)
 			}
 		})
 	}
@@ -340,18 +359,4 @@ func buildChecker(t *testing.T, dir, name string, f *Formula) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
-}
-
-func dataRows(s string) []string {
-	var rows []string
-	for _, line := range strings.Split(s, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "formula") {
-			continue
-		}
-		if strings.ContainsRune(line, '\t') {
-			rows = append(rows, line)
-		}
-	}
-	return rows
 }

@@ -1,133 +1,12 @@
 package loc
 
-import (
-	"fmt"
-	"strings"
-)
-
-// The stack VM. A compiled expression is a flat instruction sequence
-// operating on a float64 stack; the same representation is executed
-// in-process by the runner and embedded into generated standalone checkers
-// by the codegen (which is why it is a first-class, serializable artifact
-// rather than a tree walk).
-
-// OpCode is a VM instruction opcode.
-type OpCode uint8
-
-// VM opcodes. OpRef pushes the value of reference slot Arg (filled by the
-// runner per instance); OpIndex pushes the current instance index.
-const (
-	OpConst OpCode = iota // push Val
-	OpRef                 // push refs[Arg]
-	OpIndex               // push float64(i)
-	OpAdd
-	OpSub
-	OpMul
-	OpDiv
-	OpNeg
-	OpAbs
-	OpMin
-	OpMax
-)
-
-var opNames = map[OpCode]string{
-	OpConst: "const", OpRef: "ref", OpIndex: "index",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpNeg: "neg",
-	OpAbs: "abs", OpMin: "min", OpMax: "max",
-}
-
-func (o OpCode) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
-	}
-	return fmt.Sprintf("OpCode(%d)", int(o))
-}
-
-// Instr is one VM instruction.
-type Instr struct {
-	Op  OpCode
-	Arg int     // slot index for OpRef
-	Val float64 // literal for OpConst
-}
-
-// Program is a compiled expression: a straight-line instruction sequence
-// leaving exactly one value on the stack.
-type Program struct {
-	Code     []Instr
-	MaxStack int
-}
-
-// Disasm renders the program for debugging and the generated-checker
-// source comments.
-func (p *Program) Disasm() string {
-	var b strings.Builder
-	for k, in := range p.Code {
-		switch in.Op {
-		case OpConst:
-			fmt.Fprintf(&b, "%3d  const %g\n", k, in.Val)
-		case OpRef:
-			fmt.Fprintf(&b, "%3d  ref   #%d\n", k, in.Arg)
-		default:
-			fmt.Fprintf(&b, "%3d  %s\n", k, in.Op)
-		}
-	}
-	return b.String()
-}
-
-// Eval executes the program. refs[k] must hold the current value of
-// reference slot k; i is the instance index. The stack slice is scratch
-// space (grown as needed) so hot evaluation loops do not allocate.
-func (p *Program) Eval(refs []float64, i int64, stack []float64) (float64, []float64) {
-	if cap(stack) < p.MaxStack {
-		stack = make([]float64, 0, p.MaxStack)
-	}
-	stack = stack[:0]
-	for _, in := range p.Code {
-		switch in.Op {
-		case OpConst:
-			stack = append(stack, in.Val)
-		case OpRef:
-			stack = append(stack, refs[in.Arg])
-		case OpIndex:
-			stack = append(stack, float64(i))
-		case OpNeg:
-			stack[len(stack)-1] = -stack[len(stack)-1]
-		case OpAbs:
-			if v := stack[len(stack)-1]; v < 0 {
-				stack[len(stack)-1] = -v
-			}
-		default:
-			r := stack[len(stack)-1]
-			l := stack[len(stack)-2]
-			stack = stack[:len(stack)-1]
-			switch in.Op {
-			case OpAdd:
-				stack[len(stack)-1] = l + r
-			case OpSub:
-				stack[len(stack)-1] = l - r
-			case OpMul:
-				stack[len(stack)-1] = l * r
-			case OpDiv:
-				stack[len(stack)-1] = l / r
-			case OpMin:
-				if r < l {
-					stack[len(stack)-1] = r
-				}
-			case OpMax:
-				if r > l {
-					stack[len(stack)-1] = r
-				}
-			}
-		}
-	}
-	return stack[0], stack
-}
+import "nepdvs/internal/loc/locrt"
 
 // Compiled is a fully compiled formula ready for streaming evaluation.
 type Compiled struct {
 	Analysis *Analysis
-	LHS      *Program
-	RHS      *Program // nil for distribution formulas
+	LHS      *locrt.Program
+	RHS      *locrt.Program // nil for distribution formulas
 }
 
 // Compile analyzes and compiles a formula, folding constant subexpressions
@@ -150,10 +29,10 @@ func Compile(f *Formula, schema map[string]bool) (*Compiled, error) {
 	return c, nil
 }
 
-func compileExpr(e Expr, slots map[Ref]int) *Program {
-	p := &Program{}
+func compileExpr(e Expr, slots map[Ref]int) *locrt.Program {
+	p := &locrt.Program{}
 	depth, maxDepth := 0, 0
-	push := func(in Instr, net int) {
+	push := func(in locrt.Instr, net int) {
 		p.Code = append(p.Code, in)
 		depth += net
 		if depth > maxDepth {
@@ -164,31 +43,31 @@ func compileExpr(e Expr, slots map[Ref]int) *Program {
 	emit = func(e Expr) {
 		switch n := e.(type) {
 		case *Num:
-			push(Instr{Op: OpConst, Val: n.Value}, 1)
+			push(locrt.Instr{Op: locrt.OpConst, Val: n.Value}, 1)
 		case *IndexVar:
-			push(Instr{Op: OpIndex}, 1)
+			push(locrt.Instr{Op: locrt.OpIndex}, 1)
 		case *AnnRef:
 			r := Ref{Ann: n.Ann, Event: n.Event, Index: clearPos(n.Index)}
-			push(Instr{Op: OpRef, Arg: slots[r]}, 1)
+			push(locrt.Instr{Op: locrt.OpRef, Arg: slots[r]}, 1)
 		case *Unary:
 			emit(n.X)
-			push(Instr{Op: OpNeg}, 0)
+			push(locrt.Instr{Op: locrt.OpNeg}, 0)
 		case *Binary:
 			emit(n.L)
 			emit(n.R)
-			op := map[byte]OpCode{'+': OpAdd, '-': OpSub, '*': OpMul, '/': OpDiv}[n.Op]
-			push(Instr{Op: op}, -1)
+			op := map[byte]locrt.OpCode{'+': locrt.OpAdd, '-': locrt.OpSub, '*': locrt.OpMul, '/': locrt.OpDiv}[n.Op]
+			push(locrt.Instr{Op: op}, -1)
 		case *Call:
 			for _, a := range n.Args {
 				emit(a)
 			}
 			switch n.Fn {
 			case "abs":
-				push(Instr{Op: OpAbs}, 0)
+				push(locrt.Instr{Op: locrt.OpAbs}, 0)
 			case "min":
-				push(Instr{Op: OpMin}, -1)
+				push(locrt.Instr{Op: locrt.OpMin}, -1)
 			case "max":
-				push(Instr{Op: OpMax}, -1)
+				push(locrt.Instr{Op: locrt.OpMax}, -1)
 			}
 		}
 	}

@@ -5,91 +5,39 @@ package loc
 // as "/ 1000000 / (x / 1000000)". Folding them shrinks the VM programs that
 // run once per formula instance over multi-million-event traces.
 //
-// Folding is exact: float64 arithmetic at fold time is the same arithmetic
-// the VM would perform at run time, including ±Inf and NaN results, so the
-// optimized program is observationally identical (property-tested).
+// Folding is exact: a constant subexpression is evaluated by the VM itself,
+// so the folded value is bit-for-bit what the program would compute at run
+// time, including ±Inf and NaN results (property-tested).
 
 // Fold returns an expression with all constant subexpressions evaluated.
 // The input is not modified.
 func Fold(e Expr) Expr {
+	var out Expr
+	var args []Expr
+	var pos Pos
 	switch n := e.(type) {
-	case *Num, *IndexVar, *AnnRef:
-		return e
 	case *Unary:
 		x := Fold(n.X)
-		if c, ok := x.(*Num); ok {
-			return &Num{Value: -c.Value, Pos: n.Pos}
-		}
-		if x == n.X {
-			return n
-		}
-		return &Unary{X: x, Pos: n.Pos}
+		out, args, pos = &Unary{X: x, Pos: n.Pos}, []Expr{x}, n.Pos
 	case *Binary:
 		l, r := Fold(n.L), Fold(n.R)
-		lc, lok := l.(*Num)
-		rc, rok := r.(*Num)
-		if lok && rok {
-			var v float64
-			switch n.Op {
-			case '+':
-				v = lc.Value + rc.Value
-			case '-':
-				v = lc.Value - rc.Value
-			case '*':
-				v = lc.Value * rc.Value
-			case '/':
-				v = lc.Value / rc.Value
-			}
-			return &Num{Value: v, Pos: n.Pos}
-		}
-		if l == n.L && r == n.R {
-			return n
-		}
-		return &Binary{Op: n.Op, L: l, R: r, Pos: n.Pos}
+		out, args, pos = &Binary{Op: n.Op, L: l, R: r, Pos: n.Pos}, []Expr{l, r}, n.Pos
 	case *Call:
-		args := make([]Expr, len(n.Args))
-		allConst := true
-		changed := false
+		args = make([]Expr, len(n.Args))
 		for k, a := range n.Args {
 			args[k] = Fold(a)
-			if args[k] != a {
-				changed = true
-			}
-			if _, ok := args[k].(*Num); !ok {
-				allConst = false
-			}
 		}
-		if allConst {
-			vals := make([]float64, len(args))
-			for k := range args {
-				vals[k] = args[k].(*Num).Value
-			}
-			var v float64
-			switch n.Fn {
-			case "abs":
-				v = vals[0]
-				if v < 0 {
-					v = -v
-				}
-			case "min":
-				v = vals[0]
-				if vals[1] < v {
-					v = vals[1]
-				}
-			case "max":
-				v = vals[0]
-				if vals[1] > v {
-					v = vals[1]
-				}
-			}
-			return &Num{Value: v, Pos: n.Pos}
-		}
-		if !changed {
-			return n
-		}
-		return &Call{Fn: n.Fn, Args: args, Pos: n.Pos}
+		out, pos = &Call{Fn: n.Fn, Args: args, Pos: n.Pos}, n.Pos
+	default:
+		return e
 	}
-	return e
+	for _, a := range args {
+		if _, ok := a.(*Num); !ok {
+			return out
+		}
+	}
+	v, _ := compileExpr(out, nil).Eval(nil, 0, nil)
+	return &Num{Value: v, Pos: pos}
 }
 
 // FoldFormula returns a formula with both sides folded.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"nepdvs/internal/loc/locrt"
 )
 
 // FuzzLOCLexer: arbitrary formula source may be rejected but never panic
@@ -92,8 +94,8 @@ func FuzzWitnessRender(f *testing.F) {
 			d.Add(tm * float64(k))
 		}
 		c.Density = d
-		if len(d.Counts) > densityBins {
-			t.Fatalf("density grew past %d bins: %d (width %g)", densityBins, len(d.Counts), d.WidthUS)
+		if len(d.Counts) > locrt.DensityBins {
+			t.Fatalf("density grew past %d bins: %d (width %g)", locrt.DensityBins, len(d.Counts), d.WidthUS)
 		}
 		if d.Total() != total {
 			t.Fatalf("density lost violations: %d of %d", d.Total(), total)

@@ -59,35 +59,16 @@ func Lint(f *Formula, schema map[string]bool) []LintDiag {
 	}
 
 	if f.Kind == KindDist {
-		if f.Period.Step <= 0 {
-			report(f.Pos, LintPeriod, "analysis period %v has non-positive step", f.Period)
-		}
-		if f.Period.Max <= f.Period.Min {
-			report(f.Pos, LintPeriod, "analysis period %v has max <= min", f.Period)
+		if err := checkPeriod(f.Period); err != nil {
+			report(f.Pos, LintPeriod, "%v", err)
 		}
 	}
 
 	// Annotation references: schema membership (with suggestions) plus
 	// per-event window inference, deduplicated so one typo'd annotation
 	// used five times reports once per distinct reference.
-	windows := map[string]*EventWindow{}
-	seenRef := map[Ref]bool{}
-	refs := 0
-	usesIndexVar := false
-	f.Walk(func(e Expr) {
-		if _, ok := e.(*IndexVar); ok {
-			usesIndexVar = true
-		}
-		n, ok := e.(*AnnRef)
-		if !ok {
-			return
-		}
-		refs++
-		r := Ref{Ann: n.Ann, Event: n.Event, Index: clearPos(n.Index)}
-		if seenRef[r] {
-			return
-		}
-		seenRef[r] = true
+	refs, first, windows, usesIndexVar := inferRefs(f)
+	for _, n := range first {
 		if schema != nil && !schema[n.Ann] {
 			msg := fmt.Sprintf("unknown annotation %q (trace schema has %s)", n.Ann, schemaList(schema))
 			if sugg := didYouMean(n.Ann, schema); sugg != "" {
@@ -98,39 +79,17 @@ func Lint(f *Formula, schema map[string]bool) []LintDiag {
 		if !n.Index.Rel && n.Index.Offset < 0 {
 			report(n.Pos, LintAbsIndex, "absolute event index must be non-negative, got %d", n.Index.Offset)
 		}
-		w := windows[n.Event]
-		if w == nil {
-			w = &EventWindow{Event: n.Event}
-			windows[n.Event] = w
-		}
-		if n.Index.Rel {
-			if !w.HasRel {
-				w.HasRel = true
-				w.MinOff, w.MaxOff = n.Index.Offset, n.Index.Offset
-			} else {
-				if n.Index.Offset < w.MinOff {
-					w.MinOff = n.Index.Offset
-				}
-				if n.Index.Offset > w.MaxOff {
-					w.MaxOff = n.Index.Offset
-				}
-			}
-		} else if n.Index.Offset >= 0 {
-			w.AbsIndices = insertSorted(w.AbsIndices, n.Index.Offset)
-		}
-	})
-	if refs == 0 {
+	}
+	if len(refs) == 0 {
 		report(f.Pos, LintNoEvents, "formula references no trace events; nothing to check")
 	}
-	events := make([]string, 0, len(windows))
-	hasRel := false
-	for e, w := range windows {
-		events = append(events, e)
-		hasRel = hasRel || w.HasRel
-	}
-	if refs > 0 && usesIndexVar && !hasRel {
+	if len(refs) > 0 && usesIndexVar && !hasRel(windows) {
 		report(f.Pos, LintWindow,
 			"formula uses the instance index i but no relative event reference; the instance stream is unbounded")
+	}
+	events := make([]string, 0, len(windows))
+	for e := range windows {
+		events = append(events, e)
 	}
 	sort.Strings(events)
 	for _, e := range events {
@@ -233,19 +192,9 @@ func editDistance(a, b string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

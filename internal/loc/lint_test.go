@@ -111,12 +111,17 @@ func TestLintDivisionByZero(t *testing.T) {
 
 func TestLintPeriod(t *testing.T) {
 	ds := lintOne(t, "cycle(forward[i]) cdf [2, 1, 0.5]")
-	if len(ds) != 1 || ds[0].Rule != LintPeriod || !strings.Contains(ds[0].Msg, "max <= min") {
-		t.Fatalf("diags = %v, want loc/period max <= min", ds)
+	if len(ds) != 1 || ds[0].Rule != LintPeriod || !strings.Contains(ds[0].Msg, "not greater than min") {
+		t.Fatalf("diags = %v, want loc/period max not greater than min", ds)
 	}
 	ds = lintOne(t, "cycle(forward[i]) hist [0, 1, 0]")
 	if len(ds) != 1 || ds[0].Rule != LintPeriod || !strings.Contains(ds[0].Msg, "non-positive step") {
 		t.Fatalf("diags = %v, want loc/period non-positive step", ds)
+	}
+	// A period the runner cannot bin must not lint clean.
+	ds = lintOne(t, "cycle(enq[i]) cdf [0, 1e9, 1]")
+	if len(ds) != 1 || ds[0].Rule != LintPeriod || !strings.Contains(ds[0].Msg, "too many") {
+		t.Fatalf("diags = %v, want loc/period too many bins", ds)
 	}
 }
 

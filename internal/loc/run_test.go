@@ -517,52 +517,6 @@ func TestRunnerNoFormulas(t *testing.T) {
 	}
 }
 
-func TestRingGrowth(t *testing.T) {
-	r := newRing(1, 1)
-	for k := int64(0); k < 1000; k++ {
-		r.pushSlot()[0] = float64(k)
-	}
-	for k := int64(0); k < 1000; k++ {
-		if got := r.get(k)[0]; got != float64(k) {
-			t.Fatalf("get(%d) = %v", k, got)
-		}
-	}
-	r.trimBelow(990)
-	if r.base != 990 || r.count != 10 {
-		t.Fatalf("after trim base=%d count=%d", r.base, r.count)
-	}
-	if got := r.get(995)[0]; got != 995 {
-		t.Fatalf("get(995) = %v", got)
-	}
-	r.pushSlot()[0] = 1000
-	if got := r.get(1000)[0]; got != 1000 {
-		t.Fatalf("get(1000) = %v", got)
-	}
-}
-
-func TestRingPreallocExact(t *testing.T) {
-	// A ring seeded with an exact bound should never reallocate while the
-	// retained count stays within the bound.
-	r := newRing(3, 101)
-	if r.cap() != 101 {
-		t.Fatalf("cap = %d, want 101", r.cap())
-	}
-	base := &r.data[0]
-	for k := 0; k < 500; k++ {
-		if r.count == 101 {
-			r.trimBelow(r.base + 1)
-		}
-		r.pushSlot()[0] = float64(k)
-	}
-	if &r.data[0] != base {
-		t.Fatal("ring reallocated despite staying within its exact bound")
-	}
-	// The prealloc is clamped so an absurd static bound cannot eat memory.
-	if big := newRing(1, 1<<40); big.cap() != ringPrealloc {
-		t.Fatalf("clamped cap = %d, want %d", big.cap(), ringPrealloc)
-	}
-}
-
 func TestRunnerAbsOnlySingleInstance(t *testing.T) {
 	// A formula whose references are all pinned to absolute indices has
 	// exactly one instance. The drain loop used to spin forever once the

@@ -123,7 +123,7 @@ func evalInterval(e Expr, anns map[string]interval.Interval) interval.Interval {
 }
 
 // negate returns the complementary relation (¬(a ≤ b) ⇔ a > b, and so on).
-func (r RelOp) negate() RelOp {
+func negate(r RelOp) RelOp {
 	switch r {
 	case OpLE:
 		return OpGT
@@ -184,7 +184,7 @@ func checkVerdict(f *Formula, anns map[string]interval.Interval) (v Verdict, lhs
 	if alwaysHolds(f.Rel, lhs, rhs) {
 		return VerdictAlwaysTrue, lhs, rhs, false
 	}
-	if alwaysHolds(f.Rel.negate(), lhs, rhs) {
+	if alwaysHolds(negate(f.Rel), lhs, rhs) {
 		return VerdictAlwaysFalse, lhs, rhs, false
 	}
 	return VerdictUnknown, lhs, rhs, false
@@ -416,22 +416,6 @@ func AnalyzeFile(src string, sch *Schema) ([]LintDiag, bool) {
 	diags = append(diags, crossFormulaDiags(fs)...)
 	sortLintDiags(diags)
 	return diags, true
-}
-
-// ReportAnalysis is the static-analysis block of a formula report: why a
-// formula could or could not fail, independent of the trace, plus the
-// inferred retention requirement. It is a pure function of the formula
-// source over StandardRanges, so every producer (VM, generated checkers,
-// stored artifacts) derives identical bytes.
-type ReportAnalysis struct {
-	// Verdict is always-true, always-false or unknown for check formulas;
-	// omitted for distributions.
-	Verdict string `json:"verdict,omitempty"`
-	// Retention maps each referenced event to the instances the runner must
-	// retain for it; Exact records whether those bounds are tight (single
-	// event class) or trace-dependent minimums.
-	Retention map[string]int64 `json:"retention,omitempty"`
-	Exact     bool             `json:"exact,omitempty"`
 }
 
 // StaticAnalysis computes the report analysis block for one formula. It

@@ -412,7 +412,7 @@ func TestIdleSampling(t *testing.T) {
 	for _, ev := range col.Events {
 		if ev.Name == trace.MEEvent(0, trace.EvIdle) {
 			idleEvents++
-			frac, ok := ev.Annotation("idle_frac")
+			frac, ok := ev.Extra["idle_frac"]
 			if !ok || frac < 0 || frac > 1 {
 				t.Fatalf("bad idle_frac %v, %v", frac, ok)
 			}
@@ -455,7 +455,7 @@ func TestVFChangeEvents(t *testing.T) {
 	for _, ev := range col.Events {
 		if ev.Name == trace.MEEvent(3, trace.EvVFChange) {
 			n++
-			if mhz, _ := ev.Annotation("mhz"); mhz != 550 {
+			if mhz := ev.Extra["mhz"]; mhz != 550 {
 				t.Fatalf("vfchange mhz = %v", mhz)
 			}
 		}

@@ -30,32 +30,38 @@ type Histogram struct {
 }
 
 // NewHistogram builds a histogram for the analysis period <min, max, step>.
-// It returns an error when the period is malformed (non-positive step, max
-// not above min) rather than panicking, because periods frequently come from
-// user-written LOC formulas.
+// It returns PeriodBins' error when the period is malformed rather than
+// panicking, because periods frequently come from user-written LOC formulas.
 func NewHistogram(min, max, step float64) (*Histogram, error) {
-	if math.IsNaN(min) || math.IsNaN(max) || math.IsNaN(step) {
-		return nil, fmt.Errorf("stats: NaN in analysis period <%v, %v, %v>", min, max, step)
-	}
-	if step <= 0 {
-		return nil, fmt.Errorf("stats: non-positive step %v", step)
-	}
-	if max <= min {
-		return nil, fmt.Errorf("stats: max %v not greater than min %v", max, min)
-	}
-	nf := math.Ceil((max - min) / step * (1 - 1e-12))
-	if nf > 1<<22 {
-		return nil, fmt.Errorf("stats: analysis period <%v, %v, %v> yields %.0f bins, too many", min, max, step, nf)
-	}
-	n := int(nf)
-	if n < 1 {
-		n = 1
+	n, err := PeriodBins(min, max, step)
+	if err != nil {
+		return nil, err
 	}
 	return &Histogram{
 		Min: min, Max: max, Step: step,
 		counts: make([]uint64, n+2),
 		lo:     math.Inf(1), hi: math.Inf(-1),
 	}, nil
+}
+
+// PeriodBins validates the analysis period <min, max, step> and returns its
+// interior bin count. A period is malformed when it holds a NaN, its step is
+// not positive, max is not above min, or it yields more than 1<<22 bins.
+func PeriodBins(min, max, step float64) (int, error) {
+	if math.IsNaN(min) || math.IsNaN(max) || math.IsNaN(step) {
+		return 0, fmt.Errorf("stats: NaN in analysis period <%v, %v, %v>", min, max, step)
+	}
+	if step <= 0 {
+		return 0, fmt.Errorf("stats: non-positive step %v", step)
+	}
+	if max <= min {
+		return 0, fmt.Errorf("stats: max %v not greater than min %v", max, min)
+	}
+	nf := math.Ceil((max - min) / step * (1 - 1e-12))
+	if nf > 1<<22 {
+		return 0, fmt.Errorf("stats: analysis period <%v, %v, %v> yields %.0f bins, too many", min, max, step, nf)
+	}
+	return int(math.Max(nf, 1)), nil
 }
 
 // MustHistogram is NewHistogram for statically known-good periods.

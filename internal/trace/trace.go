@@ -74,26 +74,6 @@ type Event struct {
 	Extra map[string]float64
 }
 
-// Annotation returns the named annotation value. Unknown names report ok =
-// false; LOC semantic analysis turns that into a user-facing error before
-// evaluation begins, so evaluators may treat !ok as a bug.
-func (e *Event) Annotation(name string) (v float64, ok bool) {
-	switch name {
-	case AnnCycle:
-		return float64(e.Cycle), true
-	case AnnTime:
-		return e.Time, true
-	case AnnEnergy:
-		return e.Energy, true
-	case AnnTotalPkt:
-		return float64(e.TotalPkt), true
-	case AnnTotalBit:
-		return float64(e.TotalBit), true
-	}
-	v, ok = e.Extra[name]
-	return v, ok
-}
-
 // SetExtra attaches a non-standard annotation.
 func (e *Event) SetExtra(name string, v float64) {
 	if e.Extra == nil {

@@ -21,33 +21,6 @@ func sampleEvents() []Event {
 	return evs
 }
 
-func TestAnnotationLookup(t *testing.T) {
-	ev := sampleEvents()[0]
-	cases := []struct {
-		name string
-		want float64
-	}{
-		{AnnCycle, 365},
-		{AnnTime, 1.573},
-		{AnnEnergy, 0.768133},
-		{AnnTotalPkt, 120},
-		{AnnTotalBit, 61440},
-	}
-	for _, c := range cases {
-		got, ok := ev.Annotation(c.name)
-		if !ok || got != c.want {
-			t.Errorf("Annotation(%q) = %v, %v; want %v, true", c.name, got, ok, c.want)
-		}
-	}
-	if _, ok := ev.Annotation("bogus"); ok {
-		t.Error("unknown annotation should report !ok")
-	}
-	ev.SetExtra("x", 7)
-	if v, ok := ev.Annotation("x"); !ok || v != 7 {
-		t.Errorf("extra annotation = %v, %v", v, ok)
-	}
-}
-
 func TestMEEvent(t *testing.T) {
 	if got := MEEvent(2, EvPipeline); got != "m2_pipeline" {
 		t.Errorf("MEEvent = %q", got)

@@ -3,7 +3,7 @@
 # violating LOC preset through nepsim with -assertions and -timeline,
 # validate the report JSON schema, assert the report is byte-identical when
 # the same trace is re-checked with locheck and when the checker is
-# locgen-generated code, confirm the violations appear on the timeline's
+# locgen-generated code (whose printed summary must match locheck's too), confirm the violations appear on the timeline's
 # assert track, and repeat the run to pin determinism. Exercises the same
 # surface as `make assert-smoke` in CI.
 set -eu
@@ -69,13 +69,14 @@ fi
 
 echo "assert-smoke: locgen-generated checker (codegen byte-identity)"
 # A single-formula preset: the generated checker and the VM read the same
-# text trace, so their float64 inputs — and their reports — are identical.
+# text trace, so their float64 inputs — and their reports and printed
+# summaries — are identical.
 echo 'spacing: cycle(forward[i+1]) - cycle(forward[i]) <= 0;' >"$WORK/gen.loc"
 # shellcheck disable=SC2086
 "$NEPSIM" $RUN -trace "$WORK/run.txt" >/dev/null
 status=0
 "$LOCHECK" -f "$WORK/gen.loc" -report "$WORK/vm.json" "$WORK/run.txt" \
-    >/dev/null || status=$?
+    >"$WORK/vm.out" || status=$?
 if [ "$status" -ne 1 ]; then
     echo "assert-smoke: FAIL: locheck exited $status, want 1" >&2
     exit 1
@@ -84,13 +85,17 @@ fi
 $GO build -o "$WORK/bin/checker" "$WORK/checker.go"
 status=0
 "$WORK/bin/checker" -report "$WORK/gen.json" "$WORK/run.txt" \
-    >/dev/null || status=$?
+    >"$WORK/gen.out" || status=$?
 if [ "$status" -ne 1 ]; then
     echo "assert-smoke: FAIL: generated checker exited $status, want 1" >&2
     exit 1
 fi
 if ! cmp -s "$WORK/vm.json" "$WORK/gen.json"; then
     echo "assert-smoke: FAIL: generated checker report differs from the VM report" >&2
+    exit 1
+fi
+if ! cmp -s "$WORK/vm.out" "$WORK/gen.out"; then
+    echo "assert-smoke: FAIL: generated checker output differs from locheck's" >&2
     exit 1
 fi
 
