@@ -10,34 +10,47 @@ package loc
 // time, including ±Inf and NaN results (property-tested).
 
 // Fold returns an expression with all constant subexpressions evaluated.
-// The input is not modified.
+// The input is not modified; subtrees with nothing to fold are shared.
 func Fold(e Expr) Expr {
-	var out Expr
-	var args []Expr
-	var pos Pos
 	switch n := e.(type) {
 	case *Unary:
-		x := Fold(n.X)
-		out, args, pos = &Unary{X: x, Pos: n.Pos}, []Expr{x}, n.Pos
+		if x := Fold(n.X); x != n.X || isConst(x) {
+			return foldConst(&Unary{X: x, Pos: n.Pos}, n.Pos, x)
+		}
 	case *Binary:
-		l, r := Fold(n.L), Fold(n.R)
-		out, args, pos = &Binary{Op: n.Op, L: l, R: r, Pos: n.Pos}, []Expr{l, r}, n.Pos
+		if l, r := Fold(n.L), Fold(n.R); l != n.L || r != n.R || isConst(l, r) {
+			return foldConst(&Binary{Op: n.Op, L: l, R: r, Pos: n.Pos}, n.Pos, l, r)
+		}
 	case *Call:
-		args = make([]Expr, len(n.Args))
+		args := make([]Expr, len(n.Args))
+		changed := false
 		for k, a := range n.Args {
 			args[k] = Fold(a)
+			changed = changed || args[k] != a
 		}
-		out, pos = &Call{Fn: n.Fn, Args: args, Pos: n.Pos}, n.Pos
-	default:
+		if changed || isConst(args...) {
+			return foldConst(&Call{Fn: n.Fn, Args: args, Pos: n.Pos}, n.Pos, args...)
+		}
+	}
+	return e
+}
+
+// foldConst replaces e by its value when every operand is a constant.
+func foldConst(e Expr, pos Pos, operands ...Expr) Expr {
+	if !isConst(operands...) {
 		return e
 	}
-	for _, a := range args {
-		if _, ok := a.(*Num); !ok {
-			return out
+	v, _ := compileExpr(e, nil).Eval(nil, 0, nil)
+	return &Num{Value: v, Pos: pos}
+}
+
+func isConst(es ...Expr) bool {
+	for _, e := range es {
+		if _, ok := e.(*Num); !ok {
+			return false
 		}
 	}
-	v, _ := compileExpr(out, nil).Eval(nil, 0, nil)
-	return &Num{Value: v, Pos: pos}
+	return true
 }
 
 // FoldFormula returns a formula with both sides folded.

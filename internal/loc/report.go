@@ -2,8 +2,8 @@ package loc
 
 import "nepdvs/internal/loc/locrt"
 
-// The result and report types live in the runtime package shared with
-// generated checkers; these aliases keep them part of the loc API.
+// These types live in the runtime package that generated checkers share;
+// the aliases keep them part of the loc API.
 type (
 	Binding        = locrt.Binding
 	Violation      = locrt.Violation

@@ -60,7 +60,8 @@ const (
 // MEEvent(2, EvPipeline) == "m2_pipeline".
 func MEEvent(me int, base string) string { return fmt.Sprintf("m%d_%s", me, base) }
 
-// Event is one trace record.
+// Event is one trace record. The LOC runner reads it as a locrt.Event,
+// which must keep this field layout (a conversion enforces it).
 type Event struct {
 	Name string
 	// Standard annotations, kept as struct fields for speed: simulations
